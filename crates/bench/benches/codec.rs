@@ -26,11 +26,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn codec_for(graph: &FormatGraph, level: u32) -> Codec {
-    if level == 0 {
-        Codec::identity(graph)
-    } else {
-        Obfuscator::new(graph).seed(42).max_per_node(level).obfuscate().unwrap()
-    }
+    Obfuscator::new(graph).seed(42).max_per_node(level).obfuscate().unwrap()
 }
 
 /// Benchmarks all three serialize paths and all three parse paths for one
@@ -263,18 +259,6 @@ fn bench_service(c: &mut Criterion) {
         stats.pool_contention, 0,
         "lock-free session pools must report zero contention (stats: {stats:?})"
     );
-    // Trajectory file for cross-run comparison of the serving layer
-    // (min/median/max + aggregate throughput per worker count). Runs
-    // that filtered this group out write nothing (export_json skips
-    // empty prefixes), so CI can point PROTOOBF_BENCH_JSON at a
-    // different file per filtered invocation.
-    let path =
-        std::env::var("PROTOOBF_BENCH_JSON").unwrap_or_else(|_| "BENCH_service.json".to_string());
-    match c.export_json(&path, "service/") {
-        Ok(true) => eprintln!("service trajectory written to {path}"),
-        Ok(false) => {}
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
 }
 
 /// Gateway relay scenario: the per-message transcode step on the 64 KiB
@@ -332,22 +316,6 @@ fn bench_relay(c: &mut Criterion) {
             })
         });
         group.finish();
-    }
-    // Relay-throughput trajectory, tracked from this PR onward. Same env
-    // override as the service group; CI runs the two groups as separate
-    // filtered invocations so each writes its own file. In an
-    // *unfiltered* run both groups record results — honor the override
-    // only when the service group did not already claim it, so one run
-    // can never silently clobber the other group's trajectory.
-    let service_also_ran = c.results().iter().any(|r| r.name.starts_with("service/"));
-    let path = match std::env::var("PROTOOBF_BENCH_JSON") {
-        Ok(p) if !service_also_ran => p,
-        _ => "BENCH_relay.json".to_string(),
-    };
-    match c.export_json(&path, "relay/") {
-        Ok(true) => eprintln!("relay trajectory written to {path}"),
-        Ok(false) => {}
-        Err(e) => eprintln!("cannot write {path}: {e}"),
     }
 }
 
@@ -428,22 +396,6 @@ fn bench_evloop(c: &mut Criterion) {
              (scan {scan:.0} ns vs epoll {epoll:.0} ns, ratio {ratio:.1}x)"
         );
     }
-
-    // Trajectory export, same claim chain as the service and relay
-    // groups: honor PROTOOBF_BENCH_JSON only when no earlier group in
-    // this run already wrote to it, so filtered CI invocations each get
-    // their own file and unfiltered runs never clobber one another.
-    let earlier_claimed =
-        c.results().iter().any(|r| r.name.starts_with("service/") || r.name.starts_with("relay/"));
-    let path = match std::env::var("PROTOOBF_BENCH_JSON") {
-        Ok(p) if !earlier_claimed => p,
-        _ => "BENCH_evloop.json".to_string(),
-    };
-    match c.export_json(&path, "evloop/") {
-        Ok(true) => eprintln!("evloop trajectory written to {path}"),
-        Ok(false) => {}
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
 }
 
 /// Covert-tunnel cost metrics: **goodput** (payload bytes per second
@@ -509,23 +461,6 @@ fn bench_tunnel(c: &mut Criterion) {
             }
         }
         group.finish();
-    }
-    // Tunnel-goodput trajectory, same claim chain as the earlier groups:
-    // honor PROTOOBF_BENCH_JSON only when no earlier group in this run
-    // already wrote to it.
-    let earlier_claimed = c.results().iter().any(|r| {
-        r.name.starts_with("service/")
-            || r.name.starts_with("relay/")
-            || r.name.starts_with("evloop/")
-    });
-    let path = match std::env::var("PROTOOBF_BENCH_JSON") {
-        Ok(p) if !earlier_claimed => p,
-        _ => "BENCH_tunnel.json".to_string(),
-    };
-    match c.export_json(&path, "tunnel/") {
-        Ok(true) => eprintln!("tunnel trajectory written to {path}"),
-        Ok(false) => {}
-        Err(e) => eprintln!("cannot write {path}: {e}"),
     }
 }
 

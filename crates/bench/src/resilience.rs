@@ -9,7 +9,7 @@
 //! index) and inferred-structure quality (static-column fraction,
 //! delimiter visibility) degrade as obfuscation levels rise.
 
-use protoobf_core::{Codec, Obfuscator};
+use protoobf_core::Obfuscator;
 use protoobf_pre::align::{similarity_matrix, ScoreParams};
 use protoobf_pre::cluster::upgma;
 use protoobf_pre::infer::multiple_alignment;
@@ -112,22 +112,16 @@ pub fn modbus_resilience(per_type: usize, max_level: u32, seed: u64) -> Vec<Resi
     ];
     let mut rows = Vec::new();
     for level in 0..=max_level {
-        let (req, resp) = if level == 0 {
-            (Codec::identity(&req_graph), Codec::identity(&resp_graph))
-        } else {
-            (
-                Obfuscator::new(&req_graph)
-                    .seed(seed + u64::from(level))
-                    .max_per_node(level)
-                    .obfuscate()
-                    .expect("modbus request graph obfuscates"),
-                Obfuscator::new(&resp_graph)
-                    .seed(seed + 100 + u64::from(level))
-                    .max_per_node(level)
-                    .obfuscate()
-                    .expect("modbus response graph obfuscates"),
-            )
-        };
+        let req = Obfuscator::new(&req_graph)
+            .seed(seed + u64::from(level))
+            .max_per_node(level)
+            .obfuscate()
+            .expect("modbus request graph obfuscates");
+        let resp = Obfuscator::new(&resp_graph)
+            .seed(seed + 100 + u64::from(level))
+            .max_per_node(level)
+            .obfuscate()
+            .expect("modbus response graph obfuscates");
         let mut rng = StdRng::seed_from_u64(seed ^ u64::from(level));
         let trace = corpus::modbus_trace(&req, &resp, &functions, per_type, &mut rng);
         rows.push(assess("TCP-Modbus", level, &trace, &[], 0.55));
@@ -141,15 +135,11 @@ pub fn http_resilience(n: usize, max_level: u32, seed: u64) -> Vec<ResilienceRow
     let graph = http::request_graph();
     let mut rows = Vec::new();
     for level in 0..=max_level {
-        let codec = if level == 0 {
-            Codec::identity(&graph)
-        } else {
-            Obfuscator::new(&graph)
-                .seed(seed + u64::from(level))
-                .max_per_node(level)
-                .obfuscate()
-                .expect("http graph obfuscates")
-        };
+        let codec = Obfuscator::new(&graph)
+            .seed(seed + u64::from(level))
+            .max_per_node(level)
+            .obfuscate()
+            .expect("http graph obfuscates");
         let mut rng = StdRng::seed_from_u64(seed ^ (u64::from(level) << 8));
         let trace = corpus::http_requests(&codec, n, &mut rng);
         rows.push(assess("HTTP", level, &trace, &[b"\r\n", b": ", b" "], 0.55));
@@ -238,22 +228,16 @@ pub fn dns_resilience(n: usize, max_level: u32, seed: u64) -> Vec<ResilienceRow>
     let rg = dns::response_graph();
     let mut rows = Vec::new();
     for level in 0..=max_level {
-        let (q, r) = if level == 0 {
-            (Codec::identity(&qg), Codec::identity(&rg))
-        } else {
-            (
-                Obfuscator::new(&qg)
-                    .seed(seed + u64::from(level))
-                    .max_per_node(level)
-                    .obfuscate()
-                    .expect("dns query graph obfuscates"),
-                Obfuscator::new(&rg)
-                    .seed(seed + 50 + u64::from(level))
-                    .max_per_node(level)
-                    .obfuscate()
-                    .expect("dns response graph obfuscates"),
-            )
-        };
+        let q = Obfuscator::new(&qg)
+            .seed(seed + u64::from(level))
+            .max_per_node(level)
+            .obfuscate()
+            .expect("dns query graph obfuscates");
+        let r = Obfuscator::new(&rg)
+            .seed(seed + 50 + u64::from(level))
+            .max_per_node(level)
+            .obfuscate()
+            .expect("dns response graph obfuscates");
         let mut rng = StdRng::seed_from_u64(seed ^ (u64::from(level) << 4));
         let trace = corpus::dns_trace(&q, &r, n, &mut rng);
         rows.push(assess("DNS", level, &trace, &[b"\x00"], 0.55));

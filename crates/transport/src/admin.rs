@@ -20,9 +20,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
+use protoobf_core::telemetry::{peer_token, Metrics, Telemetry};
+
 use crate::error::TransportError;
 use crate::evloop::{self, Drive, LoopConfig, Session};
-use crate::metrics::{peer_token, Metrics, Telemetry};
 
 /// Upper bound on a request head (request line + headers). Anything
 /// longer is hostile or lost; the connection gets a 431 and closes.

@@ -42,8 +42,9 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
+use protoobf_core::telemetry::{peer_token, EventKind, Metrics};
+
 use crate::error::TransportError;
-use crate::metrics::{peer_token, EventKind, Metrics};
 use crate::sys;
 
 /// What one [`Session::drive`] call accomplished.
@@ -58,7 +59,7 @@ pub enum Drive {
 }
 
 /// One unit of work owned by an event-loop worker: typically a
-/// [`crate::gateway::Relay`] or [`crate::gateway::Echo`], but any
+/// [`crate::gateway::Relay`] or [`crate::gateway::Server`], but any
 /// state machine that can be pumped without blocking fits.
 pub trait Session {
     /// Pumps the session once: read what's readable, decode/encode what's

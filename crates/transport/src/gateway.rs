@@ -25,6 +25,12 @@
 //! [`Gateway::fingerprint`]s before any traffic flows. Profiles with
 //! distinct `tx`/`rx` specs run **asymmetric** request/response chains —
 //! each relay leg carries a different grammar per direction.
+//!
+//! Every session here moves messages through one gated
+//! decode → step → encode loop (`pump_direction`): a [`Relay`] runs it
+//! once per direction with a transcode step, and the single-socket
+//! [`Server`] that stands in for the real server runs it back onto the
+//! socket it reads, echoing or sampling each reply.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -36,6 +42,7 @@ use protoobf_core::message::Message;
 use protoobf_core::profile::{Endpoint, Fingerprint};
 use protoobf_core::sample::sample_into;
 use protoobf_core::service::CodecService;
+use protoobf_core::telemetry::{peer_token, EventKind, Metrics, Telemetry};
 use protoobf_core::{Codec, FormatGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,7 +50,6 @@ use rand::SeedableRng;
 use crate::conn::{Conn, ConnState};
 use crate::error::TransportError;
 use crate::evloop::{self, Drive, LoopConfig, Session};
-use crate::metrics::{peer_token, EventKind, Metrics, Telemetry};
 
 /// Bound on the per-connection upstream dial. The dial happens on the
 /// accepting worker's thread, so an unreachable upstream must stall that
@@ -80,6 +86,217 @@ impl<'s> LegServices<'s> {
     }
 }
 
+/// One socket of a session and the sans-io [`Conn`] framing it.
+#[derive(Debug)]
+pub(crate) struct Leg<'s> {
+    pub(crate) stream: TcpStream,
+    pub(crate) conn: Conn<'s>,
+}
+
+impl<'s> Leg<'s> {
+    pub(crate) fn new(stream: TcpStream, rx: &'s CodecService, tx: &'s CodecService) -> Leg<'s> {
+        Leg { stream, conn: Conn::new(rx, tx) }
+    }
+
+    /// Drains the socket's ready bytes into the connection (non-blocking).
+    /// Returns whether any byte moved; clean EOF is fed to the connection.
+    pub(crate) fn read(
+        &mut self,
+        buf: &mut [u8],
+        metrics: &Metrics,
+    ) -> Result<bool, TransportError> {
+        if self.conn.state() != ConnState::Open {
+            return Ok(false);
+        }
+        let mut progress = false;
+        loop {
+            match self.stream.read(buf) {
+                Ok(0) => {
+                    self.conn.feed_eof();
+                    progress = true;
+                    break;
+                }
+                Ok(n) => {
+                    self.conn.feed_inbound(&buf[..n])?;
+                    Metrics::add(&metrics.bytes_in, n as u64);
+                    progress = true;
+                    if n < buf.len() {
+                        break; // drained the socket's ready bytes
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(TransportError::Io(e)),
+            }
+        }
+        Ok(progress)
+    }
+
+    /// Writes the connection's queued outbound bytes to the socket until
+    /// it would block or the queue drains, then edge-counts backpressure:
+    /// `engaged` says whether the outbound cap paused this pass's
+    /// producer, and `gated` remembers the previous pass, so a long stall
+    /// counts once in [`Metrics::backpressure_events`], not once per
+    /// drive. Returns whether any byte moved.
+    pub(crate) fn flush(
+        &mut self,
+        engaged: bool,
+        gated: &mut bool,
+        metrics: &Metrics,
+        token: u64,
+    ) -> Result<bool, TransportError> {
+        let mut progress = false;
+        while self.conn.has_outbound() {
+            match self.stream.write(self.conn.outbound()) {
+                Ok(0) => return Err(TransportError::Io(io::Error::from(io::ErrorKind::WriteZero))),
+                Ok(n) => {
+                    self.conn.consume_outbound(n);
+                    Metrics::add(&metrics.bytes_out, n as u64);
+                    progress = true;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(TransportError::Io(e)),
+            }
+        }
+        if engaged && !*gated {
+            Metrics::add(&metrics.backpressure_events, 1);
+            metrics.recorder.record(
+                EventKind::Backpressure,
+                token,
+                self.conn.outbound_len() as u64,
+            );
+        }
+        *gated = engaged;
+        Ok(progress)
+    }
+}
+
+/// Where one pumped direction sends what it decodes.
+enum Route<'a, 's> {
+    /// To the other leg of a relay.
+    Across { src: &'a mut Leg<'s>, dst: &'a mut Leg<'s> },
+    /// Back out of the leg it was read from (a server session).
+    Back(&'a mut Leg<'s>),
+}
+
+impl<'s> Route<'_, 's> {
+    fn src(&mut self) -> &mut Leg<'s> {
+        match self {
+            Route::Across { src, .. } => src,
+            Route::Back(leg) => leg,
+        }
+    }
+
+    fn dst(&mut self) -> &mut Leg<'s> {
+        match self {
+            Route::Across { dst, .. } => dst,
+            Route::Back(leg) => leg,
+        }
+    }
+}
+
+/// The state one direction keeps between pumps: the reusable outbound
+/// message each decoded message is stepped into, whether the source's
+/// half-close has been passed on, and whether the last pass was paused
+/// by the destination's cap (see [`Leg::flush`]).
+#[derive(Debug)]
+struct Flow<'s> {
+    out: Message<'s>,
+    eof_relayed: bool,
+    gated: bool,
+}
+
+impl<'s> Flow<'s> {
+    fn new(out: Message<'s>) -> Flow<'s> {
+        Flow { out, eof_relayed: false, gated: false }
+    }
+}
+
+/// The relay and echo step: copies the decoded message into `out` through
+/// the compiled copy program armed on it, timed and counted as a
+/// transcode.
+fn transcode(
+    msg: &Message<'_>,
+    out: &mut Message<'_>,
+    metrics: &Metrics,
+) -> Result<(), TransportError> {
+    let transcode_t = metrics.stages.transcode.start();
+    msg.transcode_into(out)?;
+    metrics.stages.transcode.finish(transcode_t);
+    Metrics::add(&metrics.transcodes, 1);
+    Ok(())
+}
+
+/// Pumps one direction of a session: source socket bytes → frames →
+/// decoded messages → `step` into `flow.out` → destination frames →
+/// destination socket. Every session that answers or forwards messages —
+/// a [`Relay`] direction or a [`Server`] — runs this one loop. Returns
+/// whether any byte or message moved.
+///
+/// Ingestion is **gated on the destination's outbound cap**
+/// ([`Conn::can_send`]): while its queue is at capacity this direction
+/// neither reads the source nor decodes buffered frames, so
+/// [`TransportError::Backpressure`] is never hit on this path — the
+/// pressure propagates backwards as an unread socket (a closed TCP window
+/// to the sender) instead of killing the session or growing its memory.
+/// This is safe under edge-triggered readiness: a pass whose queue stays
+/// at capacity past the flush has queued bytes behind a write-blocked
+/// socket, so the destination's next writability edge re-drives the
+/// session and reopens the gate.
+///
+/// Each stage runs under a sampled timer (an armed sample on an empty
+/// poll is dropped — under-sampling, never skew), and frame sizes feed
+/// the traffic-shape histograms; all of it relaxed atomics, nothing on
+/// the allocation-free path changes.
+fn pump_direction<'s>(
+    mut route: Route<'_, 's>,
+    flow: &mut Flow<'s>,
+    read_buf: &mut [u8],
+    metrics: &Metrics,
+    token: u64,
+    mut step: impl FnMut(&Message<'s>, &mut Message<'s>, &Metrics) -> Result<(), TransportError>,
+) -> Result<bool, TransportError> {
+    let mut progress = false;
+    let engaged;
+    if route.dst().conn.can_send() {
+        progress |= route.src().read(read_buf, metrics)?;
+        while route.dst().conn.can_send() {
+            let parse_t = metrics.stages.parse.start();
+            let src = route.src();
+            let Some(msg) = src.conn.poll_inbound()? else { break };
+            metrics.stages.parse.finish(parse_t);
+            Metrics::add(&metrics.messages_in, 1);
+            step(msg, &mut flow.out, metrics)?;
+            // Recorded after the step releases the decoded message's
+            // borrow of the connection.
+            metrics.frame_bytes_in.record(src.conn.last_inbound_frame_len() as u64);
+            let dst = route.dst();
+            let serialize_t = metrics.stages.serialize.start();
+            dst.conn.send(&flow.out)?;
+            metrics.stages.serialize.finish(serialize_t);
+            Metrics::add(&metrics.messages_out, 1);
+            metrics.frame_bytes_out.record(dst.conn.last_outbound_frame_len() as u64);
+            progress = true;
+        }
+        engaged = !route.dst().conn.can_send();
+    } else {
+        engaged = true;
+    }
+    progress |= route.dst().flush(engaged, &mut flow.gated, metrics, token)?;
+
+    // Propagate the half-close once everything in flight is delivered.
+    if !flow.eof_relayed
+        && route.src().conn.state() == ConnState::PeerClosed
+        && !route.dst().conn.has_outbound()
+    {
+        let _ = route.dst().stream.shutdown(Shutdown::Write);
+        flow.eof_relayed = true;
+        progress = true;
+    }
+    Ok(progress)
+}
+
 /// One relayed connection: the accepted ("down") leg and the dialed
 /// upstream ("up") leg, each a sans-io [`Conn`], glued together by
 /// transcoding every decoded message onto the other leg's codec.
@@ -95,23 +312,13 @@ impl<'s> LegServices<'s> {
 /// allocation.
 #[derive(Debug)]
 pub struct Relay<'s> {
-    down: TcpStream,
-    up: TcpStream,
-    down_conn: Conn<'s>,
-    up_conn: Conn<'s>,
-    /// Transcode target bound to the up leg's tx codec.
-    to_up: Message<'s>,
-    /// Transcode target bound to the down leg's tx codec.
-    to_down: Message<'s>,
+    down: Leg<'s>,
+    up: Leg<'s>,
+    /// Down → up: transcodes onto the up leg's tx codec.
+    to_up: Flow<'s>,
+    /// Up → down: transcodes onto the down leg's tx codec.
+    to_down: Flow<'s>,
     read_buf: Vec<u8>,
-    down_eof_relayed: bool,
-    up_eof_relayed: bool,
-    /// Whether each direction's last pump had its ingestion paused by
-    /// the other leg's outbound cap — edge-detects
-    /// [`Metrics::backpressure_events`] so a long stall counts once, not
-    /// once per drive.
-    down_gated: bool,
-    up_gated: bool,
     metrics: &'s Metrics,
     token: u64,
 }
@@ -139,20 +346,14 @@ impl<'s> Relay<'s> {
         up: LegServices<'s>,
         metrics: &'s Metrics,
     ) -> Result<Relay<'s>, TransportError> {
-        let to_up = up.tx.transcode_target(down.rx)?;
-        let to_down = down.tx.transcode_target(up.rx)?;
+        let to_up = Flow::new(up.tx.transcode_target(down.rx)?);
+        let to_down = Flow::new(down.tx.transcode_target(up.rx)?);
         Ok(Relay {
-            down: down_stream,
-            up: up_stream,
-            down_conn: Conn::new(down.rx, down.tx),
-            up_conn: Conn::new(up.rx, up.tx),
+            down: Leg::new(down_stream, down.rx, down.tx),
+            up: Leg::new(up_stream, up.rx, up.tx),
             to_up,
             to_down,
             read_buf: vec![0u8; 16 * 1024],
-            down_eof_relayed: false,
-            up_eof_relayed: false,
-            down_gated: false,
-            up_gated: false,
             metrics,
             token: 0,
         })
@@ -171,48 +372,40 @@ impl<'s> Relay<'s> {
     /// a slow receiver surfaces to the original sender as a closed TCP
     /// window rather than as unbounded gateway memory.
     pub fn outbound_cap(mut self, cap: usize) -> Relay<'s> {
-        self.down_conn.set_outbound_cap(cap);
-        self.up_conn.set_outbound_cap(cap);
+        self.down.conn.set_outbound_cap(cap);
+        self.up.conn.set_outbound_cap(cap);
         self
     }
 }
 
 impl Session for Relay<'_> {
     fn drive(&mut self) -> Result<Drive, TransportError> {
-        let mut progress = false;
-        progress |= pump_direction(
-            &mut self.down,
-            &mut self.down_conn,
-            &mut self.up,
-            &mut self.up_conn,
+        let (metrics, token) = (self.metrics, self.token);
+        let mut progress = pump_direction(
+            Route::Across { src: &mut self.down, dst: &mut self.up },
             &mut self.to_up,
             &mut self.read_buf,
-            &mut self.down_eof_relayed,
-            &mut self.down_gated,
-            self.metrics,
-            self.token,
+            metrics,
+            token,
+            transcode,
         )?;
         progress |= pump_direction(
-            &mut self.up,
-            &mut self.up_conn,
-            &mut self.down,
-            &mut self.down_conn,
+            Route::Across { src: &mut self.up, dst: &mut self.down },
             &mut self.to_down,
             &mut self.read_buf,
-            &mut self.up_eof_relayed,
-            &mut self.up_gated,
-            self.metrics,
-            self.token,
+            metrics,
+            token,
+            transcode,
         )?;
-        if self.down_eof_relayed && self.up_eof_relayed {
+        if self.to_up.eof_relayed && self.to_down.eof_relayed {
             return Ok(Drive::Done);
         }
         Ok(if progress { Drive::Progress } else { Drive::Idle })
     }
 
     fn sockets<'a>(&'a self, out: &mut Vec<&'a TcpStream>) {
-        out.push(&self.down);
-        out.push(&self.up);
+        out.push(&self.down.stream);
+        out.push(&self.up.stream);
     }
 
     fn token(&self) -> u64 {
@@ -220,177 +413,76 @@ impl Session for Relay<'_> {
     }
 }
 
-/// Drains the socket's ready bytes into the connection (non-blocking).
-/// Returns whether any byte moved; clean EOF is fed to the connection.
-/// Shared with the tunnel session ([`crate::tunnel`]).
-pub(crate) fn read_into(
-    stream: &mut TcpStream,
-    conn: &mut Conn<'_>,
-    buf: &mut [u8],
-    metrics: &Metrics,
-) -> Result<bool, TransportError> {
-    if conn.state() != ConnState::Open {
-        return Ok(false);
-    }
-    let mut progress = false;
-    loop {
-        match stream.read(buf) {
-            Ok(0) => {
-                conn.feed_eof();
-                progress = true;
-                break;
-            }
-            Ok(n) => {
-                conn.feed_inbound(&buf[..n])?;
-                Metrics::add(&metrics.bytes_in, n as u64);
-                progress = true;
-                if n < buf.len() {
-                    break; // drained the socket's ready bytes
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(TransportError::Io(e)),
-        }
-    }
-    Ok(progress)
-}
-
-/// Writes the connection's queued outbound bytes to the socket until it
-/// would block or the queue drains. Returns whether any byte moved.
-/// Shared with the tunnel session ([`crate::tunnel`]).
-pub(crate) fn flush_from(
-    stream: &mut TcpStream,
-    conn: &mut Conn<'_>,
-    metrics: &Metrics,
-) -> Result<bool, TransportError> {
-    let mut progress = false;
-    while conn.has_outbound() {
-        match stream.write(conn.outbound()) {
-            Ok(0) => return Err(TransportError::Io(io::Error::from(io::ErrorKind::WriteZero))),
-            Ok(n) => {
-                conn.consume_outbound(n);
-                Metrics::add(&metrics.bytes_out, n as u64);
-                progress = true;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(TransportError::Io(e)),
-        }
-    }
-    Ok(progress)
-}
-
-/// Pumps one direction of a relay: `src` socket bytes → `src_conn` frames
-/// → decoded messages → transcode into `tmpl` → `dst_conn` frames → `dst`
-/// socket. Returns whether any byte or message moved.
-///
-/// Ingestion is **gated on the destination's outbound cap**
-/// ([`Conn::can_send`]): while `dst_conn`'s queue is at capacity this
-/// direction neither reads `src` nor decodes buffered frames, so
-/// [`TransportError::Backpressure`] is never hit on this path — the
-/// pressure propagates backwards as an unread socket (a closed TCP window
-/// to the sender) instead of killing the relay or growing its memory.
-/// This is safe under edge-triggered readiness: a pass whose queue stays
-/// at capacity past the flush has queued `dst` bytes behind a
-/// write-blocked socket, so the destination's next writability edge
-/// re-drives the session and reopens the gate. `gated` edge-detects
-/// passes where the cap paused ingestion (before the flush relieves it)
-/// for [`Metrics::backpressure_events`] — a long stall counts once.
-#[allow(clippy::too_many_arguments)]
-fn pump_direction(
-    src: &mut TcpStream,
-    src_conn: &mut Conn<'_>,
-    dst: &mut TcpStream,
-    dst_conn: &mut Conn<'_>,
-    tmpl: &mut Message<'_>,
-    read_buf: &mut [u8],
-    eof_relayed: &mut bool,
-    gated: &mut bool,
-    metrics: &Metrics,
-    token: u64,
-) -> Result<bool, TransportError> {
-    let mut progress = false;
-    let engaged;
-    if dst_conn.can_send() {
-        progress |= read_into(src, src_conn, read_buf, metrics)?;
-
-        // Decode complete frames, transcode (compiled copy program,
-        // shared per leg pairing), re-encode onto the other leg — until
-        // the frames run out or the destination queue fills. Each stage
-        // runs under a sampled timer (an armed sample on an empty poll
-        // is dropped — under-sampling, never skew), and frame sizes
-        // feed the traffic-shape histograms; all of it relaxed atomics,
-        // nothing on the allocation-free path changes.
-        while dst_conn.can_send() {
-            let parse_t = metrics.stages.parse.start();
-            let Some(msg) = src_conn.poll_inbound()? else { break };
-            metrics.stages.parse.finish(parse_t);
-            Metrics::add(&metrics.messages_in, 1);
-            let transcode_t = metrics.stages.transcode.start();
-            msg.transcode_into(tmpl)?;
-            metrics.stages.transcode.finish(transcode_t);
-            Metrics::add(&metrics.transcodes, 1);
-            // Recorded after the transcode releases the decoded
-            // message's borrow of the connection.
-            metrics.frame_bytes_in.record(src_conn.last_inbound_frame_len() as u64);
-            let serialize_t = metrics.stages.serialize.start();
-            dst_conn.send(tmpl)?;
-            metrics.stages.serialize.finish(serialize_t);
-            Metrics::add(&metrics.messages_out, 1);
-            metrics.frame_bytes_out.record(dst_conn.last_outbound_frame_len() as u64);
-            progress = true;
-        }
-        engaged = !dst_conn.can_send();
-    } else {
-        engaged = true;
-    }
-
-    progress |= flush_from(dst, dst_conn, metrics)?;
-
-    if engaged && !*gated {
-        Metrics::add(&metrics.backpressure_events, 1);
-        metrics.recorder.record(EventKind::Backpressure, token, dst_conn.outbound_len() as u64);
-    }
-    *gated = engaged;
-
-    // Propagate the half-close once everything in flight is delivered.
-    if !*eof_relayed && src_conn.state() == ConnState::PeerClosed && !dst_conn.has_outbound() {
-        let _ = dst.shutdown(Shutdown::Write);
-        *eof_relayed = true;
-        progress = true;
-    }
-    Ok(progress)
-}
-
-/// A framed echo session: parses every inbound message and sends it
-/// straight back on the same codec — the stand-in "real server" for
-/// gateway smoke tests and the `protoobf recv` subcommand.
+/// How a [`Server`] answers each request.
 #[derive(Debug)]
-pub struct Echo<'s> {
-    stream: TcpStream,
-    conn: Conn<'s>,
-    reply: Message<'s>,
+enum Reply<'s> {
+    /// Send the request straight back (a transcode onto the same codec).
+    Echo,
+    /// Send a fresh random message of `svc`'s codec; the request's
+    /// content is not inspected.
+    Sample { svc: &'s CodecService, rng: StdRng },
+}
+
+/// A framed single-socket server session — the stand-in "real server"
+/// behind a decode gateway, used by gateway tests and the `protoobf recv`
+/// subcommand. It answers every inbound message on the same connection,
+/// through the same gated pump as a [`Relay`] direction:
+///
+/// * [`Server::echo`] sends each message straight back on the same codec;
+/// * [`Server::responder`] answers each message of the request spec with
+///   a freshly sampled message of the response spec — for **asymmetric**
+///   protocols, where the two directions speak different grammars and an
+///   echo therefore cannot apply.
+#[derive(Debug)]
+pub struct Server<'s> {
+    leg: Leg<'s>,
+    flow: Flow<'s>,
+    reply: Reply<'s>,
     read_buf: Vec<u8>,
-    /// Edge-detector for [`Metrics::backpressure_events`], as in
-    /// [`Relay`].
-    gated: bool,
     metrics: &'s Metrics,
     token: u64,
 }
 
-impl<'s> Echo<'s> {
-    /// Wraps an accepted (non-blocking) socket speaking `svc`'s codec in
-    /// both directions.
-    pub fn new(stream: TcpStream, svc: &'s CodecService, metrics: &'s Metrics) -> Echo<'s> {
-        Echo {
-            stream,
-            conn: Conn::new(svc, svc),
-            // A codec always structurally matches itself, so the armed
-            // self-pair target cannot fail to build.
-            reply: svc.transcode_target(svc).expect("self-pair transcode target"),
+impl<'s> Server<'s> {
+    /// Echoes every message of an accepted (non-blocking) socket speaking
+    /// `svc`'s codec in both directions. The decoded message is still
+    /// borrowed from the connection's parse session when the reply is
+    /// due, so each one is first copied into a reusable reply (same graph
+    /// on both sides: transcoding is a plain structural copy).
+    pub fn echo(stream: TcpStream, svc: &'s CodecService, metrics: &'s Metrics) -> Server<'s> {
+        // A codec always structurally matches itself, so the armed
+        // self-pair target cannot fail to build.
+        let reply = svc.transcode_target(svc).expect("self-pair transcode target");
+        Server::new(Leg::new(stream, svc, svc), reply, Reply::Echo, metrics)
+    }
+
+    /// Answers every `request_svc`-framed message of an accepted
+    /// (non-blocking) socket with a random message of `reply_svc`'s codec
+    /// (deterministic per `seed`). Replies are sampled into one pooled
+    /// scratch message ([`sample_into`]), so answering does not allocate
+    /// a fresh message store per request; only the sampled values
+    /// themselves still allocate.
+    pub fn responder(
+        stream: TcpStream,
+        request_svc: &'s CodecService,
+        reply_svc: &'s CodecService,
+        seed: u64,
+        metrics: &'s Metrics,
+    ) -> Server<'s> {
+        Server::new(
+            Leg::new(stream, request_svc, reply_svc),
+            reply_svc.codec().message_seeded(seed),
+            Reply::Sample { svc: reply_svc, rng: StdRng::seed_from_u64(seed) },
+            metrics,
+        )
+    }
+
+    fn new(leg: Leg<'s>, out: Message<'s>, reply: Reply<'s>, metrics: &'s Metrics) -> Server<'s> {
+        Server {
+            leg,
+            flow: Flow::new(out),
+            reply,
             read_buf: vec![0u8; 16 * 1024],
-            gated: false,
             metrics,
             token: 0,
         }
@@ -398,205 +490,46 @@ impl<'s> Echo<'s> {
 
     /// Caps the outbound queue at `cap` bytes (builder; default
     /// [`crate::conn::DEFAULT_OUTBOUND_CAP`]). A full queue pauses reads
-    /// (the echo stops accepting requests it could not answer) instead of
-    /// buffering without bound.
-    pub fn outbound_cap(mut self, cap: usize) -> Echo<'s> {
-        self.conn.set_outbound_cap(cap);
+    /// (the server stops accepting requests it could not answer) instead
+    /// of buffering without bound.
+    pub fn outbound_cap(mut self, cap: usize) -> Server<'s> {
+        self.leg.conn.set_outbound_cap(cap);
         self
     }
 
     /// Sets the flight-recorder token (builder); see
     /// [`Relay::with_token`].
-    pub fn with_token(mut self, token: u64) -> Echo<'s> {
+    pub fn with_token(mut self, token: u64) -> Server<'s> {
         self.token = token;
         self
     }
 }
 
-impl Session for Echo<'_> {
+impl Session for Server<'_> {
     fn drive(&mut self) -> Result<Drive, TransportError> {
-        let mut progress = false;
-        let engaged;
-        // Ingestion gated on the outbound cap, as in `pump_direction`:
-        // a peer that sends requests faster than it reads replies stalls
-        // its own stream instead of growing the echo's queue.
-        if self.conn.can_send() {
-            progress |=
-                read_into(&mut self.stream, &mut self.conn, &mut self.read_buf, self.metrics)?;
-            // Decode, then echo. The reply cannot be sent while the
-            // decoded message is still borrowed from the connection's
-            // parse session, so each message is first copied into the
-            // reusable reply (same graph on both sides: transcoding is a
-            // plain structural copy).
-            while self.conn.can_send() {
-                let parse_t = self.metrics.stages.parse.start();
-                let Some(msg) = self.conn.poll_inbound()? else { break };
-                self.metrics.stages.parse.finish(parse_t);
-                Metrics::add(&self.metrics.messages_in, 1);
-                let transcode_t = self.metrics.stages.transcode.start();
-                msg.transcode_into(&mut self.reply)?;
-                self.metrics.stages.transcode.finish(transcode_t);
-                Metrics::add(&self.metrics.transcodes, 1);
-                // After the transcode releases the decoded message's
-                // borrow of the connection.
-                self.metrics.frame_bytes_in.record(self.conn.last_inbound_frame_len() as u64);
-                progress = true;
-                let serialize_t = self.metrics.stages.serialize.start();
-                self.conn.send(&self.reply)?;
-                self.metrics.stages.serialize.finish(serialize_t);
-                Metrics::add(&self.metrics.messages_out, 1);
-                self.metrics.frame_bytes_out.record(self.conn.last_outbound_frame_len() as u64);
-            }
-            engaged = !self.conn.can_send();
-        } else {
-            engaged = true;
-        }
-        progress |= flush_from(&mut self.stream, &mut self.conn, self.metrics)?;
-        if engaged && !self.gated {
-            Metrics::add(&self.metrics.backpressure_events, 1);
-            self.metrics.recorder.record(
-                EventKind::Backpressure,
-                self.token,
-                self.conn.outbound_len() as u64,
-            );
-        }
-        self.gated = engaged;
-        if self.conn.state() == ConnState::PeerClosed && !self.conn.has_outbound() {
-            let _ = self.stream.shutdown(Shutdown::Write);
+        let reply = &mut self.reply;
+        let progress = pump_direction(
+            Route::Back(&mut self.leg),
+            &mut self.flow,
+            &mut self.read_buf,
+            self.metrics,
+            self.token,
+            |msg, out, metrics| match reply {
+                Reply::Echo => transcode(msg, out, metrics),
+                Reply::Sample { svc, rng } => {
+                    sample_into(svc.codec(), out, rng, &[]);
+                    Ok(())
+                }
+            },
+        )?;
+        if self.flow.eof_relayed {
             return Ok(Drive::Done);
         }
         Ok(if progress { Drive::Progress } else { Drive::Idle })
     }
 
     fn sockets<'a>(&'a self, out: &mut Vec<&'a TcpStream>) {
-        out.push(&self.stream);
-    }
-
-    fn token(&self) -> u64 {
-        self.token
-    }
-}
-
-/// A framed request/response session for **asymmetric** protocols: every
-/// inbound message (the request spec) is answered with a freshly sampled
-/// message of the response spec — the stand-in "real server" behind a
-/// decode gateway when the two directions speak different grammars and a
-/// byte [`Echo`] therefore cannot apply. Used by `protoobf recv` for
-/// asymmetric profiles.
-#[derive(Debug)]
-pub struct Responder<'s> {
-    stream: TcpStream,
-    conn: Conn<'s>,
-    /// Codec the sampled replies are drawn from (`reply_svc`'s).
-    reply_svc: &'s CodecService,
-    /// Pooled reply scratch: one long-lived message refilled per reply
-    /// ([`sample_into`]), so answering does not allocate a fresh message
-    /// store per request.
-    reply: Message<'s>,
-    rng: StdRng,
-    read_buf: Vec<u8>,
-    /// Edge-detector for [`Metrics::backpressure_events`], as in
-    /// [`Relay`].
-    gated: bool,
-    metrics: &'s Metrics,
-    token: u64,
-}
-
-impl<'s> Responder<'s> {
-    /// Wraps an accepted (non-blocking) socket that receives
-    /// `request_svc`-framed messages and answers each with a random
-    /// message of `reply_svc`'s codec (deterministic per `seed`).
-    pub fn new(
-        stream: TcpStream,
-        request_svc: &'s CodecService,
-        reply_svc: &'s CodecService,
-        seed: u64,
-        metrics: &'s Metrics,
-    ) -> Responder<'s> {
-        Responder {
-            stream,
-            conn: Conn::new(request_svc, reply_svc),
-            reply_svc,
-            reply: reply_svc.codec().message_seeded(seed),
-            rng: StdRng::seed_from_u64(seed),
-            read_buf: vec![0u8; 16 * 1024],
-            gated: false,
-            metrics,
-            token: 0,
-        }
-    }
-
-    /// Caps the outbound queue at `cap` bytes (builder; default
-    /// [`crate::conn::DEFAULT_OUTBOUND_CAP`]); see [`Echo::outbound_cap`].
-    pub fn outbound_cap(mut self, cap: usize) -> Responder<'s> {
-        self.conn.set_outbound_cap(cap);
-        self
-    }
-
-    /// Sets the flight-recorder token (builder); see
-    /// [`Relay::with_token`].
-    pub fn with_token(mut self, token: u64) -> Responder<'s> {
-        self.token = token;
-        self
-    }
-}
-
-impl Session for Responder<'_> {
-    fn drive(&mut self) -> Result<Drive, TransportError> {
-        let mut progress = false;
-        let engaged;
-        // Ingestion gated on the outbound cap, as in `pump_direction`.
-        if self.conn.can_send() {
-            progress |=
-                read_into(&mut self.stream, &mut self.conn, &mut self.read_buf, self.metrics)?;
-            // The decoded request's content is not inspected — arrival of
-            // a structurally valid message is the contract; the reply is
-            // sampled from the *other* direction's grammar into a pooled
-            // scratch message (stores reused across replies; only the
-            // sampled values themselves still allocate — see
-            // [`sample_into`]).
-            loop {
-                if !self.conn.can_send() {
-                    break;
-                }
-                let parse_t = self.metrics.stages.parse.start();
-                if self.conn.poll_inbound()?.is_none() {
-                    break;
-                }
-                self.metrics.stages.parse.finish(parse_t);
-                Metrics::add(&self.metrics.messages_in, 1);
-                self.metrics.frame_bytes_in.record(self.conn.last_inbound_frame_len() as u64);
-                sample_into(self.reply_svc.codec(), &mut self.reply, &mut self.rng, &[]);
-                let serialize_t = self.metrics.stages.serialize.start();
-                self.conn.send(&self.reply)?;
-                self.metrics.stages.serialize.finish(serialize_t);
-                Metrics::add(&self.metrics.messages_out, 1);
-                self.metrics.frame_bytes_out.record(self.conn.last_outbound_frame_len() as u64);
-                progress = true;
-            }
-            engaged = !self.conn.can_send();
-        } else {
-            engaged = true;
-        }
-        progress |= flush_from(&mut self.stream, &mut self.conn, self.metrics)?;
-        if engaged && !self.gated {
-            Metrics::add(&self.metrics.backpressure_events, 1);
-            self.metrics.recorder.record(
-                EventKind::Backpressure,
-                self.token,
-                self.conn.outbound_len() as u64,
-            );
-        }
-        self.gated = engaged;
-        if self.conn.state() == ConnState::PeerClosed && !self.conn.has_outbound() {
-            let _ = self.stream.shutdown(Shutdown::Write);
-            return Ok(Drive::Done);
-        }
-        Ok(if progress { Drive::Progress } else { Drive::Idle })
-    }
-
-    fn sockets<'a>(&'a self, out: &mut Vec<&'a TcpStream>) {
-        out.push(&self.stream);
+        out.push(&self.leg.stream);
     }
 
     fn token(&self) -> u64 {

@@ -41,12 +41,17 @@
 //!   plain specification ([`protoobf_core::Message::transcode_into`],
 //!   which runs a compiled plan-level copy program shared per codec
 //!   pairing — the whole steady-state relay loop allocates nothing).
+//!   Each relayed connection is a [`gateway::Relay`]; the stand-in server
+//!   behind a decode gateway is a [`gateway::Server`] (echo, or sampled
+//!   replies for asymmetric grammars). Both run one gated
+//!   decode → step → encode pump, so flow control, stage timers and
+//!   half-close handling are written once.
 //!
-//! [`metrics::Metrics`] instruments all of it — counters plus a
-//! lock-free log-bucketed wake-latency histogram
-//! ([`metrics::LatencyHistogram`], p50/p95/p99) and edge-detected
-//! backpressure stall counts; [`duplex`] provides the in-memory
-//! transport used by the differential tests.
+//! [`Metrics`] (from [`protoobf_core::telemetry`]) instruments all of
+//! it — counters plus a lock-free log-bucketed wake-latency histogram
+//! ([`protoobf_core::telemetry::LatencyHistogram`], p50/p95/p99) and
+//! edge-detected backpressure stall counts; [`duplex`] provides the
+//! in-memory transport used by the differential tests.
 //!
 //! Deployments configure the whole stack through a
 //! [`protoobf_core::profile::Profile`]: [`gateway::Gateway::from_endpoint`]
@@ -70,7 +75,6 @@ pub mod duplex;
 pub mod error;
 pub mod evloop;
 pub mod gateway;
-pub mod metrics;
 pub mod sys;
 pub mod tunnel;
 
@@ -78,6 +82,6 @@ pub use admin::{serve_admin, AdminConn};
 pub use conn::{Conn, ConnState};
 pub use error::TransportError;
 pub use evloop::{serve, Drive, LoopConfig, Session};
-pub use gateway::{Echo, Gateway, GatewayMode, LegServices, Relay, Responder};
-pub use metrics::{peer_token, Metrics, MetricsSnapshot, Telemetry};
+pub use gateway::{Gateway, GatewayMode, LegServices, Relay, Server};
+pub use protoobf_core::telemetry::{peer_token, Metrics, MetricsSnapshot, Telemetry};
 pub use tunnel::{spawn_reader, wake_pair, PayloadBuf, TunnelSession};

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use protoobf_core::service::CodecService;
 use protoobf_core::Codec;
 use protoobf_protocols::modbus::{self, Function};
-use protoobf_transport::{evloop, Echo, LoopConfig, Metrics};
+use protoobf_transport::{evloop, LoopConfig, Metrics, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,7 +52,7 @@ fn accept_flood_neither_starves_established_sessions_nor_loses_connections() {
     std::thread::scope(|scope| {
         let served = scope.spawn(|| {
             evloop::serve(listener, &cfg, &shutdown, &metrics, |s, _| {
-                Ok(Echo::new(s, &svc, &metrics))
+                Ok(Server::echo(s, &svc, &metrics))
             })
         });
 
@@ -114,7 +114,7 @@ fn zero_accept_burst_still_accepts() {
     std::thread::scope(|scope| {
         let served = scope.spawn(|| {
             evloop::serve(listener, &cfg, &shutdown, &metrics, |s, _| {
-                Ok(Echo::new(s, &svc, &metrics))
+                Ok(Server::echo(s, &svc, &metrics))
             })
         });
         let mut stream = TcpStream::connect(addr).unwrap();

@@ -13,7 +13,7 @@ use protoobf_core::framing::{FrameReader, FrameWriter};
 use protoobf_core::service::CodecService;
 use protoobf_core::{Codec, Obfuscator};
 use protoobf_protocols::modbus::{self, Function};
-use protoobf_transport::{evloop, serve_admin, Echo, Gateway, GatewayMode, LoopConfig, Metrics};
+use protoobf_transport::{evloop, serve_admin, Gateway, GatewayMode, LoopConfig, Metrics, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -70,7 +70,7 @@ fn admin_endpoint_serves_scrapes_while_the_gateway_relays() {
         let loops = [
             scope.spawn(|| {
                 evloop::serve(server_listener, &cfg, &shutdown, &server_metrics, |s, _| {
-                    Ok(Echo::new(s, &server_svc, &server_metrics))
+                    Ok(Server::echo(s, &server_svc, &server_metrics))
                 })
             }),
             scope.spawn(|| decode_gw.serve(decode_listener, &cfg, &shutdown)),

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use protoobf_core::service::CodecService;
 use protoobf_core::{Codec, Obfuscator};
 use protoobf_protocols::modbus::{self, Function};
-use protoobf_transport::{evloop, sys, Echo, Gateway, GatewayMode, LoopConfig, Metrics};
+use protoobf_transport::{evloop, sys, Gateway, GatewayMode, LoopConfig, Metrics, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -134,7 +134,7 @@ fn c10k_chain_relays_byte_identical_with_bounded_wake_latency() {
         let loops = [
             scope.spawn(|| {
                 evloop::serve(server_listener, &cfg, &shutdown, &server_metrics, |s, _| {
-                    Ok(Echo::new(s, &server_svc, &server_metrics))
+                    Ok(Server::echo(s, &server_svc, &server_metrics))
                 })
             }),
             scope.spawn(|| decode_gw.serve(decode_listener, &cfg, &shutdown)),

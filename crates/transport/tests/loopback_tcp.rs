@@ -17,7 +17,7 @@ use protoobf_core::framing::{FrameReader, FrameWriter};
 use protoobf_core::service::CodecService;
 use protoobf_core::{Codec, Obfuscator};
 use protoobf_protocols::modbus::{self, Function};
-use protoobf_transport::{evloop, Echo, Gateway, GatewayMode, LoopConfig, Metrics};
+use protoobf_transport::{evloop, Gateway, GatewayMode, LoopConfig, Metrics, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -56,7 +56,7 @@ fn with_gateway_chain(
         let loops = [
             scope.spawn(|| {
                 evloop::serve(server_listener, &cfg, &shutdown, &server_metrics, |s, _| {
-                    Ok(Echo::new(s, &server_svc, &server_metrics))
+                    Ok(Server::echo(s, &server_svc, &server_metrics))
                 })
             }),
             scope.spawn(|| decode_gw.serve(decode_listener, &cfg, &shutdown)),

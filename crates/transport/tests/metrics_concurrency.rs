@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use protoobf_transport::metrics::{LatencyHistogram, HISTOGRAM_BUCKETS};
+use protoobf_core::telemetry::{LatencyHistogram, HISTOGRAM_BUCKETS};
 use protoobf_transport::Metrics;
 
 const WRITERS: u64 = 8;

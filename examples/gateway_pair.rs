@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use protoobf::core::framing::{FrameReader, FrameWriter};
 use protoobf::protocols::modbus::{self, Function};
-use protoobf::transport::{evloop, Echo, Gateway, GatewayMode, LoopConfig, Metrics};
+use protoobf::transport::{evloop, Gateway, GatewayMode, LoopConfig, Metrics, Server};
 use protoobf::{Profile, ProfileExt};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let loops = [
             scope.spawn(|| {
                 evloop::serve(server_l, &cfg, &shutdown, &server_metrics, |s, _| {
-                    Ok(Echo::new(s, server_svc, &server_metrics))
+                    Ok(Server::echo(s, server_svc, &server_metrics))
                 })
             }),
             scope.spawn(|| decode_gw.serve(decode_l, &cfg, &shutdown)),

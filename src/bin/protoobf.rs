@@ -87,8 +87,8 @@ use protoobf::core::sample::random_message;
 use protoobf::core::verify;
 use protoobf::resilience;
 use protoobf::transport::{
-    evloop, peer_token, serve_admin, spawn_reader, wake_pair, Echo, Gateway, GatewayMode,
-    LoopConfig, Metrics, PayloadBuf, Responder, Session, Telemetry, TunnelSession,
+    evloop, peer_token, serve_admin, spawn_reader, wake_pair, Gateway, GatewayMode, LoopConfig,
+    Metrics, PayloadBuf, Server, Session, Telemetry, TunnelSession,
 };
 use protoobf::{Derivation, Endpoint, ObfConfig, Profile, ProfileExt, SpecSource, TransformKind};
 
@@ -521,17 +521,6 @@ fn run() -> Result<(), CliError> {
             let cfg = loop_config(&opts);
             if endpoint.is_symmetric() {
                 eprintln!("echo server on {listen} ({} workers)", cfg.workers);
-                with_admin(opts.admin.as_deref(), &telemetry, |shutdown| {
-                    evloop::serve(listener, &cfg, shutdown, &metrics, |stream, peer| {
-                        let echo =
-                            Echo::new(stream, request_svc, &metrics).with_token(peer_token(&peer));
-                        Ok(match opts.backpressure {
-                            Some(cap) => echo.outbound_cap(cap),
-                            None => echo,
-                        })
-                    })
-                    .map_err(|e| CliError::Run(e.to_string()))
-                })?;
             } else {
                 eprintln!(
                     "responder on {listen} ({} workers): {} in, {} out",
@@ -539,20 +528,24 @@ fn run() -> Result<(), CliError> {
                     endpoint.profile().tx(),
                     endpoint.profile().rx()
                 );
-                let seed = std::sync::atomic::AtomicU64::new(1);
-                with_admin(opts.admin.as_deref(), &telemetry, |shutdown| {
-                    evloop::serve(listener, &cfg, shutdown, &metrics, |stream, peer| {
-                        let s = seed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let responder = Responder::new(stream, request_svc, reply_svc, s, &metrics)
-                            .with_token(peer_token(&peer));
-                        Ok(match opts.backpressure {
-                            Some(cap) => responder.outbound_cap(cap),
-                            None => responder,
-                        })
-                    })
-                    .map_err(|e| CliError::Run(e.to_string()))
-                })?;
             }
+            let seed = std::sync::atomic::AtomicU64::new(1);
+            with_admin(opts.admin.as_deref(), &telemetry, |shutdown| {
+                evloop::serve(listener, &cfg, shutdown, &metrics, |stream, peer| {
+                    let server = if endpoint.is_symmetric() {
+                        Server::echo(stream, request_svc, &metrics)
+                    } else {
+                        let s = seed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        Server::responder(stream, request_svc, reply_svc, s, &metrics)
+                    }
+                    .with_token(peer_token(&peer));
+                    Ok(match opts.backpressure {
+                        Some(cap) => server.outbound_cap(cap),
+                        None => server,
+                    })
+                })
+                .map_err(|e| CliError::Run(e.to_string()))
+            })?;
             print_summary("server done", &telemetry, opts.quiet);
         }
         "send" => {

@@ -166,15 +166,11 @@ fn score_mixed(
     let mut labels: Vec<&'static str> = Vec::new();
     for (pi, proto) in BUILTIN_PROTOCOLS.iter().enumerate() {
         let graph = graph_of(proto);
-        let codec = if level == 0 {
-            Codec::identity(&graph)
-        } else {
-            Obfuscator::new(&graph)
-                .seed(seed ^ ((pi as u64 + 1) << 8) ^ u64::from(level))
-                .max_per_node(level)
-                .obfuscate()
-                .expect("builtin specs obfuscate at every level")
-        };
+        let codec = Obfuscator::new(&graph)
+            .seed(seed ^ ((pi as u64 + 1) << 8) ^ u64::from(level))
+            .max_per_node(level)
+            .obfuscate()
+            .expect("builtin specs obfuscate at every level");
         wires.extend(sampler(&codec, samples_per_protocol, seed ^ (pi as u64 + 1)));
         labels.extend(std::iter::repeat_n(*proto, samples_per_protocol));
     }
@@ -195,7 +191,7 @@ pub fn score_trajectory(
 }
 
 /// Renders the report in the same shape as the vendored criterion's
-/// `PROTOOBF_BENCH_JSON` trajectories (`prefix` / `unix_time` /
+/// `BENCH_<group>.json` trajectories (`prefix` / `unix_time` /
 /// `results` with one named entry per cell), so the CI artifact tooling
 /// treats perf and resilience curves uniformly.
 pub fn export_json(report: &ResilienceReport) -> String {

@@ -135,9 +135,8 @@ impl<'c, W: Write> FrameWriter<'c, W> {
 /// Serializes `msg` through an existing session and appends it to `out`
 /// as one length-prefixed frame: the body is written straight into `out`
 /// after a backfilled 4-byte prefix — no intermediate copy. On error,
-/// `out` is left exactly as it was. This is the one framing routine
-/// shared by [`crate::service::CodecService::serialize_framed`] and the
-/// transport layer's per-connection encoders.
+/// `out` is left exactly as it was. The transport layer's
+/// per-connection encoders frame through this routine.
 ///
 /// # Errors
 ///
@@ -318,10 +317,9 @@ impl<'c, R: Read> FrameReader<'c, R> {
 }
 
 /// Capacity (bytes) a long-lived [`FrameBuffer`] shrinks back to after an
-/// oversized backlog drains (see [`FrameBuffer::shrink_capacity`]).
-/// Large enough that typical bulk frames never trigger shrink/regrow
-/// churn, small enough that one peer trickling a single near-limit frame
-/// cannot pin megabytes per connection forever.
+/// oversized backlog drains. Large enough that typical bulk frames never
+/// trigger shrink/regrow churn, small enough that one peer trickling a
+/// single near-limit frame cannot pin megabytes per connection forever.
 pub const FRAME_BUFFER_RETAIN: usize = 256 * 1024;
 
 /// Incremental frame reassembly for event-driven code: feed arbitrary
@@ -333,22 +331,19 @@ pub const FRAME_BUFFER_RETAIN: usize = 256 * 1024;
 /// dominates the live bytes. Capacity is **bounded over time**: a peer
 /// that trickles one maximum-size frame grows the buffer to the frame
 /// limit, but once that backlog is consumed the buffer shrinks back to
-/// [`FRAME_BUFFER_RETAIN`] (tunable via [`FrameBuffer::shrink_capacity`])
-/// instead of holding the high-water allocation for the rest of a
-/// long-lived gateway connection.
+/// [`FRAME_BUFFER_RETAIN`] instead of holding the high-water allocation
+/// for the rest of a long-lived gateway connection.
 #[derive(Debug)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
     /// Read cursor: bytes before it were consumed and await compaction.
     start: usize,
     max_frame: usize,
-    /// Capacity retained after draining an oversized backlog.
-    retain: usize,
 }
 
 impl Default for FrameBuffer {
     fn default() -> Self {
-        FrameBuffer { buf: Vec::new(), start: 0, max_frame: MAX_FRAME, retain: FRAME_BUFFER_RETAIN }
+        FrameBuffer { buf: Vec::new(), start: 0, max_frame: MAX_FRAME }
     }
 }
 
@@ -361,16 +356,6 @@ impl FrameBuffer {
     /// Sets the maximum accepted frame size (default [`MAX_FRAME`]).
     pub fn max_frame(mut self, limit: usize) -> Self {
         self.max_frame = limit;
-        self
-    }
-
-    /// Sets the capacity the buffer shrinks back to after an oversized
-    /// backlog drains (default [`FRAME_BUFFER_RETAIN`]). Pick a value
-    /// comfortably above the connection's typical frame size — shrinking
-    /// below the steady-state working set would just realloc every
-    /// message.
-    pub fn shrink_capacity(mut self, cap: usize) -> Self {
-        self.retain = cap;
         self
     }
 
@@ -441,8 +426,8 @@ impl FrameBuffer {
     /// only a buffer left several times larger than the current frames —
     /// a drained backlog — is returned, at one realloc per episode.
     fn bound_capacity(&mut self, consumed: usize) {
-        let threshold = self.retain.max(4 * consumed);
-        if self.buf.capacity() <= threshold || self.buf.len() - self.start > self.retain {
+        let threshold = FRAME_BUFFER_RETAIN.max(4 * consumed);
+        if self.buf.capacity() <= threshold || self.buf.len() - self.start > FRAME_BUFFER_RETAIN {
             return;
         }
         if self.start > 0 {
@@ -450,7 +435,7 @@ impl FrameBuffer {
             self.buf.truncate(self.buf.len() - self.start);
             self.start = 0;
         }
-        self.buf.shrink_to(self.retain);
+        self.buf.shrink_to(FRAME_BUFFER_RETAIN);
     }
 
     /// Pops the next complete frame body, if one is buffered.

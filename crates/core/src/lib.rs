@@ -28,13 +28,9 @@
 //!    **stable accessor interface** ([`message::Message`]) keyed on
 //!    plain-spec field paths;
 //! 5. **Serve** — a [`service::CodecService`] shares one codec (and its
-//!    compiled plan) across any number of threads behind sharded pools of
-//!    checked-out worker sessions, with batch
-//!    ([`service::CodecService::serialize_batch`] /
-//!    [`service::CodecService::parse_batch`]) and length-framed
-//!    ([`service::CodecService::serialize_framed`] /
-//!    [`service::CodecService::parse_framed`]) entry points for
-//!    multi-threaded proxies;
+//!    compiled plan) across any number of threads, with one bounded pool
+//!    of warmed-up serializer scratch and one of parser scratch for the
+//!    sessions they check out;
 //! 6. **Transport** — the `protoobf-transport` crate carries the framed
 //!    traffic over real (non-blocking) sockets: a sans-io connection state
 //!    machine holds long-lived pooled sessions from the service, an event
@@ -49,7 +45,7 @@
 //!    configuration into one serializable, shared-secret-keyed object:
 //!    spec sources (distinct per direction for asymmetric
 //!    request/response protocols), the obfuscation key/level/transform
-//!    set, and service tuning. [`profile::Profile::build_with`] compiles
+//!    set, and the frame limit. [`profile::Profile::build_with`] compiles
 //!    it into a [`profile::Endpoint`] (obfuscated + clear services both
 //!    ways) whose [`profile::Fingerprint`] — a stable digest over the
 //!    compiled plans — lets both peers verify they derived identical
@@ -98,11 +94,7 @@
 //! # }
 //! ```
 
-// The crate's small unsafe surface (the lock-free session pool) must
-// stay explicit and documented: every unsafe operation sits in its own
-// block with a SAFETY comment, even inside unsafe fns.
-#![deny(unsafe_op_in_unsafe_fn)]
-#![warn(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod codec;
@@ -118,7 +110,6 @@ pub mod obf;
 pub mod parse;
 pub mod path;
 pub mod plan;
-pub mod pool;
 pub mod profile;
 pub mod runtime;
 pub mod sample;

@@ -11,9 +11,9 @@
 //!
 //! # Storage
 //!
-//! Values live in **slot-backed dense stores** ([`WireStore`] /
-//! [`MetaStore`]), indexed by the raw node index (the plan's *slot*) with
-//! per-instance element scopes as inline [`ScopeKey`]s and value bytes in
+//! Values live in **slot-backed dense stores** (`WireStore` /
+//! `MetaStore`), indexed by the raw node index (the plan's *slot*) with
+//! per-instance element scopes as inline `ScopeKey`s and value bytes in
 //! one shared arena. Lookups are an index plus a short linear scan — no
 //! hashing — and clearing a store keeps its capacity, which is what lets
 //! the codec sessions ([`crate::serialize::SerializeSession`],

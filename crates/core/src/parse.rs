@@ -3,7 +3,7 @@
 //! Two implementations share the same semantics:
 //!
 //! * [`ParseSession`] — the production path: an interpreter over the
-//!   compiled [`CodecPlan`](crate::plan::CodecPlan). Wire values go into
+//!   compiled [`CodecPlan`]. Wire values go into
 //!   slot-backed dense stores, structurally needed references are
 //!   recovered through compiled [`RecStep`](crate::plan) programs with
 //!   reusable scratch buffers, and the session's message is reused across

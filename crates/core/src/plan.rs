@@ -8,18 +8,18 @@
 //! and per-node output buffers. [`CodecPlan::compile`] performs that
 //! interpretation **once**:
 //!
-//! * every node becomes a [`PlanOp`] in a dense table indexed by the raw
+//! * every node becomes a `PlanOp` in a dense table indexed by the raw
 //!   [`ObfId`] value (the node's *slot*), with children flattened into one
 //!   contiguous array;
 //! * every plain-graph lookup the interpreters used to perform per message
 //!   (reference targets, container depths, byte orders, auto-field
 //!   encodings) is resolved to plain `u32` indices at compile time;
 //! * the inverse-aggregation walk [`crate::runtime::recover`] runs per
-//!   holder is lowered into a [`RecStep`] program: a post-order,
-//!   stack-machine byte program evaluated by [`RecEval`] against reusable
+//!   holder is lowered into a `RecStep` program: a post-order,
+//!   stack-machine byte program evaluated by `RecEval` against reusable
 //!   scratch buffers — no allocation, no recursion, no hashing;
 //! * auto-field sanity checks are collected into a flat
-//!   [`AutoCheck`] list walked after parsing.
+//!   `AutoCheck` list walked after parsing.
 //!
 //! The plan interpreters live in [`crate::serialize`]
 //! ([`crate::serialize::SerializeSession`]) and [`crate::parse`]

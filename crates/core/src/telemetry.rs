@@ -184,9 +184,9 @@ impl HistogramSnapshot {
 /// thousand messages.
 pub const STAGE_SAMPLE_PERIOD: u64 = 32;
 
-/// A sampled latency timer for one codec stage. Every call bumps a
-/// relaxed counter; every [`STAGE_SAMPLE_PERIOD`]th call arms a clock
-/// read whose elapsed nanoseconds land in a [`LatencyHistogram`]. The
+/// A sampled latency timer for one codec stage. Every completed call
+/// bumps a relaxed counter; every [`STAGE_SAMPLE_PERIOD`]th call arms a
+/// clock read whose elapsed nanoseconds land in a [`LatencyHistogram`]. The
 /// un-sampled calls cost one `fetch_add` — the clock syscall stays off
 /// the per-byte path, which is what lets the zero-alloc/hot-loop
 /// guarantees hold with timing enabled.
@@ -203,19 +203,23 @@ impl StageTimer {
         StageTimer::default()
     }
 
-    /// Counts one call and, on sampled calls, returns an armed start
-    /// instant to hand back to [`StageTimer::finish`].
+    /// On sampled calls, returns an armed start instant to hand back to
+    /// [`StageTimer::finish`]. Counts nothing: a stage that is started
+    /// but never finished (say, a poll that found no frame) is not a
+    /// call.
     #[inline]
     pub fn start(&self) -> Option<Instant> {
-        let n = self.calls.fetch_add(1, Ordering::Relaxed);
+        let n = self.calls.load(Ordering::Relaxed);
         (n & (STAGE_SAMPLE_PERIOD - 1) == 0).then(Instant::now)
     }
 
-    /// Records an armed sample; a `None` pass-through is free. Dropping
-    /// an armed instant instead (e.g. the stage bailed early) simply
-    /// under-samples — never skews.
+    /// Counts one completed call and records its armed sample; a `None`
+    /// pass-through costs only the count. Dropping an armed instant
+    /// instead (the stage bailed early) leaves the count alone, so the
+    /// next completed call arms again — never skews.
     #[inline]
     pub fn finish(&self, started: Option<Instant>) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
         if let Some(t0) = started {
             self.latency.record(t0.elapsed().as_nanos() as u64);
         }
@@ -798,7 +802,6 @@ impl Telemetry {
             use std::fmt::Write;
             let s = service.stats();
             let label = format!("{{service=\"{name}\"}}");
-            let _ = writeln!(out, "protoobf_service_shards{label} {}", s.shards);
             let _ = writeln!(
                 out,
                 "protoobf_service_pooled_serializers{label} {}",
@@ -814,14 +817,6 @@ impl Telemetry {
                 out,
                 "protoobf_service_pooled_parsers_peak{label} {}",
                 s.pooled_parser_peak
-            );
-            let _ =
-                writeln!(out, "protoobf_service_serialized_total{label} {}", s.serialized_messages);
-            let _ = writeln!(out, "protoobf_service_parsed_total{label} {}", s.parsed_messages);
-            let _ = writeln!(
-                out,
-                "protoobf_service_pool_contention_total{label} {}",
-                s.pool_contention
             );
         }
 
@@ -894,14 +889,11 @@ impl Telemetry {
             let s = service.stats();
             let _ = writeln!(
                 out,
-                "  service {name}: {} serialized / {} parsed; pooled {}+{} (peak {}+{}); contention {}",
-                s.serialized_messages,
-                s.parsed_messages,
+                "  service {name}: pooled {}+{} (peak {}+{})",
                 s.pooled_serializers,
                 s.pooled_parsers,
                 s.pooled_serializer_peak,
                 s.pooled_parser_peak,
-                s.pool_contention,
             );
         }
         let _ = write!(
@@ -1102,6 +1094,13 @@ mod tests {
         assert!(armed.is_some());
         let _ = armed;
         assert_eq!(t.snapshot().latency.count(), 0);
+        // ... and a started stage that never finished is not a call, so
+        // the next completed one is sampled instead.
+        assert_eq!(t.calls(), 0);
+        let armed = t.start();
+        assert!(armed.is_some());
+        t.finish(armed);
+        assert_eq!((t.calls(), t.snapshot().latency.count()), (1, 1));
     }
 
     #[test]
@@ -1166,7 +1165,7 @@ mod tests {
         b.uint_be(root, "id", 2);
         let graph = b.build().unwrap();
         let codec = crate::engine::Obfuscator::new(&graph).seed(1).obfuscate().unwrap();
-        Arc::new(CodecService::with_shards(codec, 1))
+        Arc::new(CodecService::new(codec))
     }
 
     #[test]
@@ -1197,7 +1196,7 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("protoobf_frame_bytes_sum{direction=\"in\"} 64"), "{text}");
-        assert!(text.contains("protoobf_service_shards{service=\"down\"} 1"), "{text}");
+        assert!(text.contains("protoobf_service_pooled_parsers{service=\"down\"} 0"), "{text}");
         assert!(text.contains("protoobf_flight_events_total 1"), "{text}");
         // First scrape has no interval series; the second does.
         assert!(!text.contains("interval"), "{text}");

@@ -54,8 +54,6 @@ fn assemble(
     level: u32,
     transform_mask: u16,
     max_frame: usize,
-    shards: Option<usize>,
-    pool_capacity: Option<usize>,
 ) -> Profile {
     let mk = |builtin: bool, name: &str| -> SpecSource {
         if builtin {
@@ -77,14 +75,7 @@ fn assemble(
         .filter(|(i, _)| transform_mask & (1 << i) != 0)
         .map(|(_, &k)| k)
         .collect();
-    p = p.transforms(allowed);
-    if let Some(s) = shards {
-        p = p.shards(s);
-    }
-    if let Some(c) = pool_capacity {
-        p = p.pool_capacity(c);
-    }
-    p
+    p.transforms(allowed)
 }
 
 proptest! {
@@ -92,7 +83,7 @@ proptest! {
 
     /// `parse(to_text(p)) == p` for arbitrary profiles: random keys
     /// (including unprintable and quote/backslash bytes), spec names,
-    /// levels, transform subsets and tuning.
+    /// levels, transform subsets and frame limits.
     #[test]
     fn text_round_trips(
         symmetric in any::<bool>(),
@@ -103,12 +94,10 @@ proptest! {
         level in 0u32..6,
         transform_mask in any::<u16>(),
         max_frame in 1usize..(1 << 26),
-        shards in proptest::option::of(1usize..32),
-        pool_capacity in proptest::option::of(0usize..64),
     ) {
         let p = assemble(
             symmetric, tx_builtin, tx_name, rx_name, key, level,
-            transform_mask & 0x1FFF, max_frame, shards, pool_capacity,
+            transform_mask & 0x1FFF, max_frame,
         );
         let text = p.to_text();
         let back = Profile::parse(&text);

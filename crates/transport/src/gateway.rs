@@ -245,8 +245,8 @@ fn transcode(
 /// socket, so the destination's next writability edge re-drives the
 /// session and reopens the gate.
 ///
-/// Each stage runs under a sampled timer (an armed sample on an empty
-/// poll is dropped — under-sampling, never skew), and frame sizes feed
+/// Each stage runs under a sampled timer (an empty poll is neither
+/// counted nor sampled), and frame sizes feed
 /// the traffic-shape histograms; all of it relaxed atomics, nothing on
 /// the allocation-free path changes.
 fn pump_direction<'s>(

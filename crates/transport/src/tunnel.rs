@@ -5,7 +5,7 @@
 //! from a thread-safe [`PayloadBuf`] (typically fed from stdin by
 //! [`spawn_reader`]), folds it into sampled cover messages with a
 //! [`protoobf_core::tunnel::TunnelEncoder`], and sends them through a
-//! sans-io [`Conn`] — so tunnels ride the existing epoll loop, outbound
+//! sans-io [`Conn`](crate::Conn) — so tunnels ride the existing epoll loop, outbound
 //! backpressure caps, pooled codec sessions and telemetry. The reverse
 //! direction decodes inbound cover messages back into payload bytes and
 //! writes them to a local sink (typically stdout), counting goodput in
@@ -172,7 +172,7 @@ pub fn spawn_reader(
 }
 
 /// One covert tunnel over one framed connection: an ordinary event-loop
-/// session gluing a local payload source/sink to a [`Conn`] through the
+/// session gluing a local payload source/sink to a [`Conn`](crate::Conn) through the
 /// tunnel codec. See the module docs for the data flow and wake-pipe
 /// rationale.
 pub struct TunnelSession<'s, W: Write + Send> {

@@ -160,6 +160,10 @@ fn scan_fallback_gates_reads_under_backpressure() {
         assert_eq!(snap.messages_out as usize, MSGS, "{mode}: every request answered: {snap}");
         assert_eq!(snap.transcodes, transcodes, "{mode}: {snap}");
         assert_eq!(snap.stages.transcode.calls, transcodes, "{mode}: {snap}");
+        // A stage call is a completed stage: the empty poll that ends
+        // each drive is not a parse.
+        assert_eq!(snap.stages.parse.calls, MSGS as u64, "{mode}: one parse per request: {snap}");
+        assert_eq!(snap.stages.serialize.calls, MSGS as u64, "{mode}: one per reply: {snap}");
         assert!(
             snap.backpressure_events > 0,
             "{mode}: a 1-byte cap against a flood must record pressure: {snap}"

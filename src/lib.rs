@@ -9,7 +9,7 @@
 //!
 //! This facade crate re-exports the workspace:
 //!
-//! * [`core`](protoobf_core) — format graphs, transformations, codecs;
+//! * [`core`] — format graphs, transformations, codecs;
 //! * [`spec`] — the specification DSL;
 //! * [`codegen`] — C library generation + potency metrics;
 //! * [`protocols`] — Modbus/TCP and HTTP formats and core applications;
